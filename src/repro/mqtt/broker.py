@@ -85,6 +85,8 @@ class _Retained:
     payload: Any
     qos: int
     headers: dict[str, Any]
+    #: The publisher's encoding of ``payload``, shared by every delivery.
+    payload_bytes: bytes | None
 
 
 class Broker(Component):
@@ -347,6 +349,7 @@ class Broker(Component):
                     min(retained.qos, sub_qos),
                     retained.headers,
                     retain=True,
+                    payload_bytes=retained.payload_bytes,
                 )
 
     # ------------------------------------------------------------------
@@ -360,6 +363,9 @@ class Broker(Component):
         qos = int(packet.get("qos", 0))
         payload = packet.get("payload")
         headers = packet.get("headers") or {}
+        # The publisher already serialized the payload (unless the packet
+        # came off the wire as JSON); every forwarded copy reuses it.
+        payload_bytes = packet.payload_bytes
         self.stats.publishes_in += 1
 
         obs = self.runtime.obs
@@ -378,7 +384,9 @@ class Broker(Component):
             if payload is None:
                 self._retained.pop(topic, None)
             else:
-                self._retained[topic] = _Retained(payload, qos, dict(headers))
+                self._retained[topic] = _Retained(
+                    payload, qos, dict(headers), payload_bytes
+                )
                 self.stats.retained_stored += 1
 
         # Acknowledge the publisher first (QoS 1 publisher-side is complete
@@ -400,7 +408,13 @@ class Broker(Component):
             if subscriber.cell is not None:
                 subscriber.cell.note_read()
             self._forward(
-                subscriber, topic, payload, min(qos, sub_qos), headers, retain=False
+                subscriber,
+                topic,
+                payload,
+                min(qos, sub_qos),
+                headers,
+                retain=False,
+                payload_bytes=payload_bytes,
             )
 
     def _resolve(self, topic: str) -> list[tuple[str, int]]:
@@ -436,6 +450,7 @@ class Broker(Component):
         qos: int,
         headers: dict[str, Any],
         retain: bool,
+        payload_bytes: bytes | None,
     ) -> None:
         if qos == 1 and session.cell is not None:
             # Allocating a packet id and queueing the inflight entry mutate
@@ -449,6 +464,7 @@ class Broker(Component):
             retain=retain,
             packet_id=packet_id,
             headers=headers,
+            payload_bytes=payload_bytes,
         )
         fwd_id: str | None = None
         if qos == 1:
@@ -503,9 +519,7 @@ class Broker(Component):
             return
         inflight.retries_left -= 1
         self.stats.retransmissions += 1
-        dup = Packet(
-            PacketType.PUBLISH, {**inflight.packet.fields, "dup": True}
-        )
+        dup = inflight.packet.as_dup()
         inflight.packet = dup
         self._send(inflight.destination, dup)
         self._arm_retry(session, packet_id, inflight)
@@ -591,7 +605,7 @@ class Broker(Component):
         """Re-send every queued QoS 1 message (dup-flagged) and re-arm."""
         for packet_id, inflight in list(session.inflight.items()):
             inflight.destination = session.address
-            dup = Packet(PacketType.PUBLISH, {**inflight.packet.fields, "dup": True})
+            dup = inflight.packet.as_dup()
             inflight.packet = dup
             self.stats.retransmissions += 1
             self._send(session.address, dup)

@@ -419,7 +419,7 @@ class MqttClient(Component):
             self.trace("mqtt.client.give_up", packet_id=packet_id)
             return
         pending.retries_left -= 1
-        dup = Packet(PacketType.PUBLISH, {**pending.packet.fields, "dup": True})
+        dup = pending.packet.as_dup()
         pending.packet = dup
         self._send(dup)
         self._arm_retry(packet_id, pending)

@@ -5,15 +5,27 @@ Packets travel as canonical-JSON datagrams (see
 format — the middleware never interoperates with a real broker — but the
 packet *vocabulary* and state machines mirror MQTT 3.1.1, and every byte is
 charged to the network model, so timing behaviour is faithful.
+
+A PUBLISH payload is serialized once. The first :meth:`Packet.encode` of
+a PUBLISH keeps the payload's canonical JSON bytes on the packet, and
+every copy made from it — the broker's forwarded copies, QoS 1 dup
+resends, retained deliveries — shares that one ``bytes`` object. The
+envelope around it (``_t``, ``dup``, ``fwd_id``, ``headers``,
+``packet_id``, ``qos``, ``retain``, ``topic``) is written per copy, in
+``sort_keys`` order, so the result is byte-identical to
+``encode_payload`` of the whole body. Two mechanisms therefore rest on
+packets (payloads included) never being mutated after publish: these
+shared payload bytes and :class:`_Wire`'s decode bypass.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, SerializationError
 from repro.util.flags import flag_enabled
 from repro.util.serialization import decode_payload, encode_payload
 
@@ -41,10 +53,64 @@ class _Wire(bytes):
     the remembered packet, skipping the JSON round trip. Safe because
     packets are frozen, the network layer never mutates or reslices
     payload bytes (frames are dropped whole), and every receiver copies
-    field contents it mutates.
+    field contents it mutates. The same no-mutation-after-publish rule
+    lets the broker's forwarded copies share the publisher's payload
+    bytes (see the module docstring).
     """
 
     _packet: "Packet"
+
+
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+
+#: Deepest dict nesting the envelope writer handles itself (``headers``
+#: holding the ``obs`` context is 2); deeper values take the fallback.
+_MAX_DEPTH = 3
+
+
+def _json_text(value: Any, depth: int = 0) -> str | None:
+    """Canonical JSON text of a small envelope value, or None.
+
+    Writes exact-type ``str``/``bool``/``int``/``None``, finite floats and
+    dicts of these with ``str`` keys exactly as ``encode_payload`` would.
+    Anything else — other types, subclasses, NaN/Inf, non-``str`` keys,
+    deeper nesting — returns None, and the caller falls back to
+    ``encode_payload`` of the whole body, which raises the usual error.
+    """
+    t = type(value)
+    if t is str:
+        return encode_basestring_ascii(value)
+    if t is bool:
+        return "true" if value else "false"
+    if t is int:
+        return _int_repr(value)
+    if t is float:
+        # x - x is 0.0 exactly when x is finite (NaN for NaN and ±Inf).
+        return _float_repr(value) if value - value == 0.0 else None
+    if value is None:
+        return "null"
+    if t is not dict or depth >= _MAX_DEPTH:
+        return None
+    try:
+        keys = sorted(value)
+    except TypeError:  # keys of mixed, unorderable types
+        return None
+    parts = []
+    for key in keys:
+        text = _json_text(value[key], depth + 1)
+        if text is None or type(key) is not str:
+            return None
+        parts.append(encode_basestring_ascii(key) + ":" + text)
+    return "{" + ",".join(parts) + "}"
+
+
+#: PUBLISH fields in ``sort_keys`` order around the payload, with the text
+#: that introduces each (``_t`` sorts before every lowercase key).
+_BEFORE_PAYLOAD = tuple(
+    (key, f',"{key}":') for key in ("dup", "fwd_id", "headers", "packet_id")
+)
+_AFTER_PAYLOAD = tuple((key, f',"{key}":') for key in ("qos", "retain", "topic"))
 
 
 class PacketType(str, enum.Enum):
@@ -89,16 +155,74 @@ class Packet:
     type: PacketType
     fields: dict[str, Any] = field(default_factory=dict)
 
+    #: Canonical JSON of ``fields["payload"]`` (PUBLISH only), set by the
+    #: first encode or handed over by :meth:`publish`/:meth:`as_dup` from
+    #: the packet it copies. A plain class attribute, not a dataclass
+    #: field: it takes no part in equality, and packets without it pay
+    #: nothing.
+    payload_bytes = None
+
     def encode(self) -> bytes:
         """Serialize to wire bytes."""
-        body = dict(self.fields)
-        body["_t"] = self.type.value
-        data = encode_payload(body)
+        data = None
+        if self.type is PacketType.PUBLISH:
+            data = self._encode_publish()
+        if data is None:
+            body = dict(self.fields)
+            body["_t"] = self.type.value
+            data = encode_payload(body)
         if WIRE_FASTPATH:
             wire = _Wire(data)
             wire._packet = self
             return wire
         return data
+
+    def _encode_publish(self) -> bytes | None:
+        """This PUBLISH's wire bytes, built around the payload bytes.
+
+        Returns None when a field is outside what :func:`_json_text`
+        writes, a field is unknown or missing the payload, or the payload
+        does not encode; the caller then encodes the whole body,
+        byte-identically or raising.
+        """
+        fields = self.fields
+        head = '{"_t":"publish"'
+        written = 0
+        for key, label in _BEFORE_PAYLOAD:
+            if key in fields:
+                text = _json_text(fields[key])
+                if text is None:
+                    return None
+                head += label + text
+                written += 1
+        tail = ""
+        for key, label in _AFTER_PAYLOAD:
+            if key in fields:
+                text = _json_text(fields[key])
+                if text is None:
+                    return None
+                tail += label + text
+                written += 1
+        tail += "}"
+        if written + 1 != len(fields) or "payload" not in fields:
+            return None
+        payload_bytes = self.payload_bytes
+        if payload_bytes is None:
+            try:
+                payload_bytes = encode_payload(fields["payload"])
+            except SerializationError:
+                return None
+            object.__setattr__(self, "payload_bytes", payload_bytes)
+        return b"".join(
+            ((head + ',"payload":').encode(), payload_bytes, tail.encode())
+        )
+
+    def as_dup(self) -> "Packet":
+        """This PUBLISH as a dup-flagged resend, sharing its payload bytes."""
+        dup = Packet(self.type, {**self.fields, "dup": True})
+        if self.payload_bytes is not None:
+            object.__setattr__(dup, "payload_bytes", self.payload_bytes)
+        return dup
 
     @classmethod
     def decode(cls, data: bytes) -> "Packet":
@@ -164,7 +288,11 @@ class Packet:
         dup: bool = False,
         packet_id: int | None = None,
         headers: dict[str, Any] | None = None,
+        payload_bytes: bytes | None = None,
     ) -> "Packet":
+        """A PUBLISH. ``payload_bytes``, when given, is the canonical
+        encoding an earlier packet made of this same ``payload`` object;
+        the new packet shares it instead of serializing again."""
         if qos not in (0, 1):
             raise ProtocolError(f"unsupported QoS {qos} (QoS 2 not implemented)")
         if qos == 1 and packet_id is None:
@@ -179,7 +307,10 @@ class Packet:
         }
         if packet_id is not None:
             fields["packet_id"] = packet_id
-        return cls(PacketType.PUBLISH, fields)
+        packet = cls(PacketType.PUBLISH, fields)
+        if payload_bytes is not None:
+            object.__setattr__(packet, "payload_bytes", payload_bytes)
+        return packet
 
     @classmethod
     def puback(cls, packet_id: int) -> "Packet":

@@ -12,6 +12,11 @@ digests:
   canonical JSON bytes instead of the in-process decode bypass;
 * profiler attached / detached — the kernel's hooked vs hook-free run
   loops (and the begin-only specialization between them).
+
+A wire audit also checks every packet those runs encode against the
+canonical encoding of its whole body: a PUBLISH envelope is written by
+hand around payload bytes shared between copies, and must never differ
+from ``encode_payload`` of the body by a single byte.
 """
 
 from __future__ import annotations
@@ -20,7 +25,9 @@ import pytest
 
 from repro.chaos import SCENARIOS, run_scenario, trace_digest
 from repro.mqtt import packets
+from repro.mqtt.client import MqttClient
 from repro.prof import enable_profiling, profile_digest
+from repro.util.serialization import encode_payload
 
 CHAOS_SCENARIOS = sorted(SCENARIOS)
 
@@ -277,3 +284,83 @@ def test_failover_slo_on_leaves_app_trace_unchanged(monkeypatch):
     assert _digest_excluding(
         slo_run.tracer, _OBSERVER_SOURCES
     ) == _digest_excluding(base.tracer, _OBSERVER_SOURCES)
+
+
+# ----------------------------------------------------------------------
+# Wire audit: every encoded packet is its body's canonical encoding
+# ----------------------------------------------------------------------
+
+
+class _WireAudit:
+    """Wraps ``Packet.encode``; compares each result with
+    ``encode_payload`` of the packet's whole body."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.checked = 0
+        self.publishes = 0
+        self.mismatches: list[tuple[bytes, bytes]] = []
+        real = packets.Packet.encode
+
+        def encode(packet):
+            data = real(packet)
+            expected = encode_payload({**packet.fields, "_t": packet.type.value})
+            self.checked += 1
+            self.publishes += packet.type is packets.PacketType.PUBLISH
+            if bytes(data) != expected:
+                self.mismatches.append((bytes(data), expected))
+            return data
+
+        monkeypatch.setattr(packets.Packet, "encode", encode)
+
+
+@pytest.mark.parametrize("fastpath", [True, False], ids=["wire-on", "wire-off"])
+@pytest.mark.parametrize("name", CHAOS_SCENARIOS)
+def test_chaos_wire_bytes_are_canonical(name, fastpath, monkeypatch):
+    monkeypatch.setattr(packets, "WIRE_FASTPATH", fastpath)
+    audit = _WireAudit(monkeypatch)
+    run_scenario(name, seed=0, observe=True)
+    assert audit.publishes > 0
+    assert audit.mismatches == []
+
+
+@pytest.mark.parametrize("observe", [False, True], ids=["obs-off", "obs-on"])
+def test_fig5_wire_bytes_are_canonical(observe, monkeypatch):
+    from repro.bench.calibration import pi_cost_model
+    from repro.bench.scenarios import run_fig5_experiment
+
+    audit = _WireAudit(monkeypatch)
+    run_fig5_experiment(
+        seed=55,
+        duration_s=FIG5_DURATION_S,
+        observe=observe,
+        cost_model=pi_cost_model(),
+    )
+    assert audit.publishes > 1000
+    assert audit.mismatches == []
+
+
+def test_fig5_serializes_each_published_payload_once(monkeypatch):
+    """Forwards, dup resends and retained deliveries reuse the
+    publisher's payload bytes: payload serializations on the packet path
+    equal client publishes (each forward used to serialize it again)."""
+    counts = {"payload": 0, "publishes": 0}
+
+    def counting_encode(value):
+        # A bare payload, or a whole PUBLISH body (payload inside).
+        if type(value) is not dict or value.get("_t", "publish") == "publish":
+            counts["payload"] += 1
+        return encode_payload(value)
+
+    real_publish = MqttClient._do_publish
+
+    def counting_publish(self, *args):
+        counts["publishes"] += 1
+        return real_publish(self, *args)
+
+    monkeypatch.setattr(packets, "encode_payload", counting_encode)
+    monkeypatch.setattr(MqttClient, "_do_publish", counting_publish)
+    runtime = _run_fig5(profiled=False)
+    forwards = len(runtime.tracer.select(event="mqtt.broker.forward"))
+    assert forwards > 1000
+    assert counts["publishes"] > 1000
+    assert counts["payload"] == counts["publishes"]

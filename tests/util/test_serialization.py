@@ -59,3 +59,24 @@ def test_decode_garbage():
 def test_payload_size_matches_encoding():
     value = {"key": "value", "n": 1}
     assert payload_size(value) == len(encode_payload(value))
+
+
+def test_dict_cycle_raises_naming_the_path():
+    looped: dict = {"ok": 1}
+    looped["self"] = looped
+    with pytest.raises(SerializationError, match=r"circular reference at \$\.self"):
+        encode_payload(looped)
+
+
+def test_list_cycle_raises_naming_the_path():
+    looped: list = [1]
+    looped.append(looped)
+    with pytest.raises(SerializationError, match=r"circular reference at \$\.a\[1\]"):
+        encode_payload({"a": looped})
+
+
+def test_shared_containers_are_not_cycles():
+    shared = {"x": [1, 2]}
+    assert encode_payload({"a": shared, "b": [shared, shared]}) == (
+        b'{"a":{"x":[1,2]},"b":[{"x":[1,2]},{"x":[1,2]}]}'
+    )
