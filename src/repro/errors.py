@@ -34,10 +34,6 @@ class ClockError(SimulationError):
     """Virtual time was manipulated illegally (e.g. scheduled in the past)."""
 
 
-class ProcessError(SimulationError):
-    """A simulation process failed or was used after termination."""
-
-
 # --------------------------------------------------------------------------
 # Network substrate
 # --------------------------------------------------------------------------

@@ -211,26 +211,14 @@ class Profiler:
     # KernelMonitor protocol (handler brackets)
     # ------------------------------------------------------------------
 
-    #: The profiler only acts on ``event_begin``; declaring the other two
-    #: hooks uninteresting lets the kernel skip their dispatch entirely.
-    wants_scheduled = False
-    wants_begin = True
-    wants_end = False
-
-    def event_scheduled(
-        self, handle: EventHandle, parent: EventHandle | None
-    ) -> None:
-        return None
-
+    # Only ``event_begin`` is defined: the kernel calls a hook only if its
+    # monitor defines it, so the other two brackets cost nothing.
     def event_begin(self, handle: EventHandle) -> None:
         name = getattr(handle.callback, "__qualname__", None)
         if name is None:
             name = type(handle.callback).__name__
         self.events_profiled += 1
         self._event_counts[name] = self._event_counts.get(name, 0) + 1
-
-    def event_end(self, handle: EventHandle) -> None:
-        return None
 
     # ------------------------------------------------------------------
     # Queries (used by repro.prof.report and the bench harness)

@@ -7,15 +7,15 @@ MQTT broker, middleware classes) are plain callbacks scheduled here.
 
 Hot path
 --------
-``run`` drives an inlined pop/fire loop over the queue's tuple heap rather
-than calling :meth:`step` per event, and fired handles are offered back to
-the queue's free-list pool (see :mod:`repro.sim.events`).  Monitor hooks
-follow the one-attribute-load gate pattern used throughout the runtime
-(``repro.runtime.state``): the ``monitor`` setter caches one bound method
-per hook (or ``None``), so a detached monitor costs nothing and a monitor
-that declares a hook uninteresting (``wants_scheduled`` /
-``wants_begin`` / ``wants_end`` = False) skips that hook's call entirely —
-the profiler, for example, only pays for ``event_begin``.
+``run`` drives an inlined pop/fire loop over the queue's tuple heap, and
+:meth:`SimKernel.step` is ``run(max_events=1)``.  There are exactly two
+loops: a hook-free one when no monitor is attached, and a hooked one that
+brackets each handler in ``try``/``finally`` and tracks the current
+event.  Monitor hooks follow the one-attribute-load gate pattern used
+throughout the runtime (``repro.runtime.state``): the ``monitor`` setter
+caches one bound method per hook, or ``None`` when the monitor does not
+define it, and the kernel calls a hook only if the monitor defines it —
+the profiler, for example, defines only ``event_begin``.
 """
 
 from __future__ import annotations
@@ -41,10 +41,8 @@ class KernelMonitor(Protocol):
     is ``None`` in normal operation and every hook site guards on that, so
     the monitoring cost when disabled is one attribute load per event.
 
-    A monitor may additionally expose boolean attributes
-    ``wants_scheduled`` / ``wants_begin`` / ``wants_end`` (default: True)
-    to declare a hook it never acts on; the kernel then skips that hook's
-    dispatch entirely.
+    Every hook is optional: the kernel calls a hook only if the monitor
+    defines it.
     """
 
     def event_scheduled(
@@ -63,54 +61,35 @@ class CompositeMonitor:
     schedule at once (the sanitizer and the profiler), they are chained
     through one of these. Children are invoked in attachment order for
     ``event_scheduled``/``event_begin`` and in reverse order for
-    ``event_end``, so brackets nest.  Children that declare a hook
-    uninteresting via ``wants_*`` are left out of that hook's dispatch
-    list, and the composite's own ``wants_*`` flags reflect whether any
-    child remains — so hook skipping composes through the chain.
+    ``event_end``, so brackets nest.  A child is called only for the
+    hooks it defines, and the composite defines a hook only if some child
+    does — so the absent-hook rule composes through the chain.
     """
-
-    __slots__ = (
-        "monitors",
-        "_scheduled",
-        "_begin",
-        "_end",
-        "wants_scheduled",
-        "wants_begin",
-        "wants_end",
-    )
 
     def __init__(self, monitors: tuple[KernelMonitor, ...]) -> None:
         self.monitors = monitors
-        self._scheduled = tuple(
-            m.event_scheduled
-            for m in monitors
-            if getattr(m, "wants_scheduled", True)
-        )
-        self._begin = tuple(
-            m.event_begin for m in monitors if getattr(m, "wants_begin", True)
-        )
-        self._end = tuple(
-            m.event_end
-            for m in reversed(monitors)
-            if getattr(m, "wants_end", True)
-        )
-        self.wants_scheduled = bool(self._scheduled)
-        self.wants_begin = bool(self._begin)
-        self.wants_end = bool(self._end)
+        for name, order in (
+            ("event_scheduled", monitors),
+            ("event_begin", monitors),
+            ("event_end", monitors[::-1]),
+        ):
+            hooks = tuple(
+                hook
+                for hook in (getattr(m, name, None) for m in order)
+                if hook is not None
+            )
+            if hooks:
+                setattr(self, name, _fan_out(hooks))
 
-    def event_scheduled(
-        self, handle: EventHandle, parent: EventHandle | None
-    ) -> None:
-        for hook in self._scheduled:
-            hook(handle, parent)
 
-    def event_begin(self, handle: EventHandle) -> None:
-        for hook in self._begin:
-            hook(handle)
+def _fan_out(hooks: tuple[Callable[..., None], ...]) -> Callable[..., None]:
+    """One hook that calls each of ``hooks`` in order."""
 
-    def event_end(self, handle: EventHandle) -> None:
-        for hook in self._end:
-            hook(handle)
+    def fan_out(*args: Any) -> None:
+        for hook in hooks:
+            hook(*args)
+
+    return fan_out
 
 
 class SimKernel:
@@ -125,13 +104,13 @@ class SimKernel:
     (['b', 'a'], 5.0)
     """
 
-    def __init__(self, start_time: float = 0.0, pool: bool | None = None) -> None:
+    def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._queue = EventQueue(pool=pool)
+        self._queue = EventQueue()
         self._running = False
         self._events_processed = 0
         self._monitor: KernelMonitor | None = None
-        #: Cached bound hooks (None when detached or uninterested).
+        #: Cached bound hooks (None when detached or not defined).
         self._hook_scheduled: Callable[..., None] | None = None
         self._hook_begin: Callable[..., None] | None = None
         self._hook_end: Callable[..., None] | None = None
@@ -173,22 +152,9 @@ class SimKernel:
     @monitor.setter
     def monitor(self, monitor: KernelMonitor | None) -> None:
         self._monitor = monitor
-        if monitor is None:
-            self._hook_scheduled = None
-            self._hook_begin = None
-            self._hook_end = None
-            return
-        self._hook_scheduled = (
-            monitor.event_scheduled
-            if getattr(monitor, "wants_scheduled", True)
-            else None
-        )
-        self._hook_begin = (
-            monitor.event_begin if getattr(monitor, "wants_begin", True) else None
-        )
-        self._hook_end = (
-            monitor.event_end if getattr(monitor, "wants_end", True) else None
-        )
+        self._hook_scheduled = getattr(monitor, "event_scheduled", None)
+        self._hook_begin = getattr(monitor, "event_begin", None)
+        self._hook_end = getattr(monitor, "event_end", None)
 
     # ------------------------------------------------------------------
     # Schedule perturbation (see repro.san)
@@ -289,102 +255,46 @@ class SimKernel:
 
     def step(self) -> bool:
         """Execute the single next event. Returns False when drained."""
-        queue = self._queue
-        handle = queue.pop()
-        if handle is None:
-            return False
-        self._now = handle.time
-        self._events_processed += 1
-        if self._monitor is None:
-            handle.callback(*handle.args)
-            queue.release(handle)
-            return True
-        self._current = handle
-        hook = self._hook_begin
-        if hook is not None:
-            hook(handle)
-        try:
-            handle.callback(*handle.args)
-        finally:
-            hook = self._hook_end
-            if hook is not None:
-                hook(handle)
-            self._current = None
-        queue.release(handle)
-        return True
+        before = self._events_processed
+        self.run(max_events=1)
+        return self._events_processed != before
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run events until the queue drains, ``until`` is reached, or
         ``max_events`` have fired.
 
-        When ``until`` is given, the clock is advanced to exactly ``until``
-        even if the last event fires earlier, so repeated ``run(until=...)``
-        calls behave like wall-clock epochs.
+        When ``until`` is given and no live event remains at or before it,
+        the clock is advanced to exactly ``until`` even if the last event
+        fired earlier, so repeated ``run(until=...)`` calls behave like
+        wall-clock epochs.  A run cut short by ``max_events`` leaves the
+        clock at the last event it fired.
         """
         if self._running:
             raise ClockError("kernel is already running (re-entrant run call)")
         self._running = True
         queue = self._queue
         heap = queue._heap
-        release = queue.release
         pop = heappop
         executed = 0
         try:
             if self._monitor is None:
-                # Fast path: no hooks, inlined pop/fire/release loop.
-                while True:
-                    if max_events is not None and executed >= max_events:
-                        break
+                while max_events is None or executed < max_events:
                     while heap and heap[0][3].cancelled:
-                        handle = pop(heap)[3]
-                        release(handle)
-                    if not heap:
-                        break
-                    if until is not None and heap[0][0] > until:
+                        pop(heap)
+                    if not heap or (until is not None and heap[0][0] > until):
                         break
                     handle = pop(heap)[3]
                     self._now = handle.time
                     self._events_processed += 1
                     handle.callback(*handle.args)
                     executed += 1
-                    release(handle)
-            elif self._hook_end is None and self._hook_scheduled is None:
-                # Begin-only monitor (e.g. the profiler): no end bracket to
-                # guarantee and nothing reads ``_current`` (the scheduled
-                # hook, its only consumer, is off), so the per-event
-                # try/finally and current-event bookkeeping are skipped —
-                # same shape as the fast path plus one hook call.
-                hook_begin = self._hook_begin
-                while True:
-                    if max_events is not None and executed >= max_events:
-                        break
-                    while heap and heap[0][3].cancelled:
-                        handle = pop(heap)[3]
-                        release(handle)
-                    if not heap:
-                        break
-                    if until is not None and heap[0][0] > until:
-                        break
-                    handle = pop(heap)[3]
-                    self._now = handle.time
-                    self._events_processed += 1
-                    if hook_begin is not None:
-                        hook_begin(handle)
-                    handle.callback(*handle.args)
-                    executed += 1
-                    release(handle)
             else:
                 hook_begin = self._hook_begin
                 hook_end = self._hook_end
-                while True:
-                    if max_events is not None and executed >= max_events:
-                        break
+                while max_events is None or executed < max_events:
                     while heap and heap[0][3].cancelled:
-                        handle = pop(heap)[3]
-                        release(handle)
-                    if not heap:
-                        break
-                    if until is not None and heap[0][0] > until:
+                        pop(heap)
+                    if not heap or (until is not None and heap[0][0] > until):
                         break
                     handle = pop(heap)[3]
                     self._now = handle.time
@@ -399,11 +309,12 @@ class SimKernel:
                             hook_end(handle)
                         self._current = None
                     executed += 1
-                    release(handle)
         finally:
             self._running = False
         if until is not None and until > self._now:
-            self._now = until
+            next_time = queue.peek_time()
+            if next_time is None or next_time > until:
+                self._now = until
 
     def run_until_idle(self, max_events: int = 10_000_000) -> None:
         """Run until no events remain; guard against runaway loops."""

@@ -46,14 +46,6 @@ FLAGS: dict[str, EnvFlag] = {
     flag.name: flag
     for flag in (
         EnvFlag(
-            "REPRO_EVENT_POOL",
-            "1",
-            "Free-list pooling of sim event handles (PR 7). On by default "
-            "on CPython, where the refcount safety probe is exact; set to "
-            "0 to force unpooled queues for differential testing. "
-            "Read by repro.sim.events.pooling_default().",
-        ),
-        EnvFlag(
             "REPRO_WIRE_FASTPATH",
             "1",
             "Encoded MQTT wire bytes carry their Packet so decode can "

@@ -3,16 +3,14 @@
 ``RunningStats`` implements Welford's numerically stable online mean/variance.
 ``LatencyRecorder`` keeps the raw samples (experiments are small enough) and
 reports the average/max columns used in the paper's Tables II and III, plus
-percentiles for the supplementary benches. ``Histogram`` buckets samples for
-compact textual display.
+percentiles for the supplementary benches.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
-__all__ = ["RunningStats", "LatencyRecorder", "Histogram", "percentile"]
+__all__ = ["RunningStats", "LatencyRecorder", "percentile"]
 
 
 def percentile(samples: list[float], q: float) -> float:
@@ -185,56 +183,3 @@ class LatencyRecorder:
             "p99": self.percentile(99),
         }
 
-
-@dataclass
-class Histogram:
-    """Fixed-width histogram for compact textual reporting.
-
-    >>> h = Histogram(lower=0.0, upper=10.0, bins=5)
-    >>> h.add(1.0); h.add(9.5); h.add(42.0)
-    >>> h.counts
-    [1, 0, 0, 0, 1]
-    >>> h.overflow
-    1
-    """
-
-    lower: float
-    upper: float
-    bins: int
-    counts: list[int] = field(default_factory=list)
-    underflow: int = 0
-    overflow: int = 0
-
-    def __post_init__(self) -> None:
-        if self.bins <= 0:
-            raise ValueError("bins must be positive")
-        if self.upper <= self.lower:
-            raise ValueError("upper must exceed lower")
-        if not self.counts:
-            self.counts = [0] * self.bins
-
-    def add(self, value: float) -> None:
-        if value < self.lower:
-            self.underflow += 1
-            return
-        if value >= self.upper:
-            self.overflow += 1
-            return
-        width = (self.upper - self.lower) / self.bins
-        index = int((value - self.lower) / width)
-        self.counts[min(index, self.bins - 1)] += 1
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts) + self.underflow + self.overflow
-
-    def render(self, width: int = 40) -> str:
-        """Render an ASCII bar chart, one line per bin."""
-        peak = max(self.counts) if any(self.counts) else 1
-        step = (self.upper - self.lower) / self.bins
-        lines = []
-        for i, count in enumerate(self.counts):
-            lo = self.lower + i * step
-            bar = "#" * int(round(width * count / peak))
-            lines.append(f"[{lo:10.3f}, {lo + step:10.3f}) {count:6d} {bar}")
-        return "\n".join(lines)

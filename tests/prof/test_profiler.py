@@ -183,6 +183,65 @@ def test_composite_monitor_nests_brackets():
     ]
 
 
+class BeginOnlyMonitor:
+    """Defines only ``event_begin``, like the profiler."""
+
+    def __init__(self, log: list, tag: str, kernel: SimKernel) -> None:
+        self.log = log
+        self.tag = tag
+        self.kernel = kernel
+
+    def event_begin(self, handle) -> None:
+        assert self.kernel.current_event is handle
+        self.log.append((self.tag, "begin"))
+
+
+def test_begin_only_monitor_runs_on_hooked_loop():
+    log: list = []
+    kernel = SimKernel()
+    kernel.monitor = BeginOnlyMonitor(log, "p", kernel)
+    kernel.schedule(0.0, lambda: None)
+    kernel.schedule(1.0, lambda: None)
+    kernel.run_until_idle()
+    assert log == [("p", "begin"), ("p", "begin")]
+    assert kernel.current_event is None
+
+
+def test_composite_calls_only_the_hooks_a_child_defines():
+    log: list = []
+    kernel = SimKernel()
+    kernel.monitor = CompositeMonitor(
+        (
+            RecordingMonitor(log, "a"),
+            BeginOnlyMonitor(log, "p", kernel),
+            RecordingMonitor(log, "b"),
+        )
+    )
+    kernel.schedule(0.0, lambda: None)
+    kernel.run_until_idle()
+    assert log == [
+        ("a", "scheduled"),
+        ("b", "scheduled"),
+        ("a", "begin"),
+        ("p", "begin"),
+        ("b", "begin"),
+        ("b", "end"),  # the full monitors' brackets still nest
+        ("a", "end"),
+    ]
+
+
+def test_composite_defines_a_hook_only_if_some_child_does():
+    log: list = []
+    kernel = SimKernel()
+    composite = CompositeMonitor((BeginOnlyMonitor(log, "p", kernel),))
+    assert not hasattr(composite, "event_scheduled")
+    assert not hasattr(composite, "event_end")
+    kernel.monitor = composite
+    kernel.schedule(0.0, lambda: None)
+    kernel.run_until_idle()
+    assert log == [("p", "begin")]
+
+
 def test_profiler_chains_behind_existing_monitor():
     log: list = []
     runtime = SimRuntime(seed=0)

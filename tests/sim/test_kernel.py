@@ -57,6 +57,27 @@ def test_step_returns_false_when_drained():
     assert k.step() is False
 
 
+def test_capped_run_does_not_advance_clock_past_pending_events():
+    k = SimKernel()
+    seen = []
+    k.schedule(1.0, lambda: seen.append(k.now))
+    k.schedule(2.0, lambda: seen.append(k.now))
+    k.run(until=10.0, max_events=1)
+    assert seen == [1.0]
+    assert k.now == 1.0  # the t=2 event is still pending
+    k.run()
+    assert seen == [1.0, 2.0]  # the clock never ran backwards
+    assert k.now == 2.0
+
+
+def test_capped_run_advances_clock_when_nothing_is_left_before_until():
+    k = SimKernel()
+    k.schedule(1.0, lambda: None)
+    k.schedule(20.0, lambda: None)
+    k.run(until=10.0, max_events=1)
+    assert k.now == 10.0
+
+
 def test_events_scheduled_during_run_execute():
     k = SimKernel()
     fired = []
@@ -110,3 +131,10 @@ def test_events_processed_counter():
         k.schedule(float(i), lambda: None)
     k.run()
     assert k.events_processed == 4
+
+
+def test_reentrant_step_rejected():
+    k = SimKernel()
+    k.schedule(0.0, k.step)
+    with pytest.raises(ClockError):
+        k.run()

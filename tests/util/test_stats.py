@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from repro.util.stats import Histogram, LatencyRecorder, RunningStats
+from repro.util.stats import LatencyRecorder, RunningStats
 
 
 class TestRunningStats:
@@ -95,29 +95,3 @@ class TestLatencyRecorder:
         snapshot.append(99.0)
         assert rec.count == 1
 
-
-class TestHistogram:
-    def test_binning(self):
-        h = Histogram(lower=0.0, upper=10.0, bins=5)
-        for v in (0.0, 1.9, 2.0, 9.99):
-            h.add(v)
-        assert h.counts == [2, 1, 0, 0, 1]
-
-    def test_under_overflow(self):
-        h = Histogram(lower=0.0, upper=1.0, bins=2)
-        h.add(-0.1)
-        h.add(1.0)  # upper edge is exclusive
-        assert h.underflow == 1
-        assert h.overflow == 1
-        assert h.total == 2
-
-    def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            Histogram(lower=0.0, upper=0.0, bins=3)
-        with pytest.raises(ValueError):
-            Histogram(lower=0.0, upper=1.0, bins=0)
-
-    def test_render_has_one_line_per_bin(self):
-        h = Histogram(lower=0.0, upper=4.0, bins=4)
-        h.add(1.0)
-        assert len(h.render().splitlines()) == 4
