@@ -117,16 +117,9 @@ def _op_busy(profiler: Any) -> dict[str, dict[str, Any]]:
     (:func:`repro.lint.dataflow.check_cost_drift`) replays against the
     calibrated cost model, so it rounds exactly once, here.
     """
-    totals: dict[str, list[float]] = {}
-    for (node, domain, op), (seconds, count) in profiler.busy.items():
-        if domain != "cpu":
-            continue
-        entry = totals.setdefault(op, [0.0, 0])
-        entry[0] += seconds
-        entry[1] += count
     return {
-        op: {"busy_s": round(seconds, 9), "count": int(count)}
-        for op, (seconds, count) in sorted(totals.items())
+        op: {"busy_s": round(seconds, 9), "count": count}
+        for op, (seconds, count) in profiler.cpu_op_busy().items()
     }
 
 

@@ -662,7 +662,7 @@ def _cmd_slo(args: argparse.Namespace) -> int:
 
     label, engine = _run_slo_scenario(args)
     if engine is None:
-        print("the SLO engine is disabled (REPRO_SLO=0 or kill switch)")
+        print("the SLO engine is disabled (REPRO_SLO=0)")
         return 2
     report = engine.report()
     diagnostics = engine.diagnostics()

@@ -277,7 +277,7 @@ class FailureDetector(Component):
                 if obs is not None and obs.metrics is not None:
                     obs.metrics.histogram(
                         "detector.detection_s", node=self.node.name
-                    ).observe(elapsed)
+                    ).add(elapsed)
                 if self.on_confirm is not None:
                     self.on_confirm(name)
             elif phi >= self.suspect_phi and peer.state == ALIVE:

@@ -255,7 +255,7 @@ class StreamOperator(Component):
                         node=self.node.name,
                         operator=self.subtask.operator,
                     )
-                hist.observe(self.runtime.now - enqueued_at)
+                hist.add(self.runtime.now - enqueued_at)
 
     def _process(self, stream: str, record: FlowRecord) -> None:
         if self.stopped:

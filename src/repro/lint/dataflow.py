@@ -39,7 +39,7 @@ from repro.lint.callgraph import INIT_METHODS, build_callgraph
 from repro.lint.engine import LintRun
 from repro.lint.rates import DEFAULT_RECORD_BYTES, default_cost_model
 from repro.lint.suppress import parse_suppressions
-from repro.runtime.costs import CostModel
+from repro.runtime.costs import CostModel, OpCost
 from repro.san.rules import SAN_RULES
 from repro.util.validate import Diagnostic, Severity
 
@@ -49,6 +49,7 @@ __all__ = [
     "analyze_state_soundness",
     "check_recipe_payloads",
     "check_cost_drift",
+    "predicted_op_mean",
     "propagate_schemas",
 ]
 
@@ -582,6 +583,21 @@ DRIFT_TOLERANCE = 0.25
 DRIFT_MIN_COUNT = 20
 
 
+def predicted_op_mean(
+    spec: OpCost, count: int, scale: float, record_bytes: int = DEFAULT_RECORD_BYTES
+) -> float:
+    """The cost model's mean CPU seconds per call over ``count`` calls.
+
+    Steady-state cost at ``record_bytes`` plus the warm-up surcharge
+    amortized over the run (an observed busy total includes the warm-up
+    calls), times the model's ``scale``. Drift is observed mean over
+    this, minus one; RCP230 and the SLO engine's SLO310 both use it.
+    """
+    steady = spec.cost(record_bytes, invocation_index=spec.warmup_ops)
+    warmup = spec.warmup_extra_s * min(spec.warmup_ops, count) / count
+    return (steady + warmup) * scale
+
+
 def check_cost_drift(
     record: Any,
     cost_model: CostModel | None = None,
@@ -637,12 +653,7 @@ def check_cost_drift(
             )
             continue
         observed_mean = busy_s / count
-        # Predicted mean over `count` invocations: steady-state cost at the
-        # assumed record size plus the warm-up surcharge amortized over the
-        # run (the baseline's busy total includes the warm-up invocations).
-        steady = spec.cost(record_bytes, invocation_index=spec.warmup_ops)
-        warmup = spec.warmup_extra_s * min(spec.warmup_ops, count) / count
-        predicted_mean = (steady + warmup) * model.scale
+        predicted_mean = predicted_op_mean(spec, count, model.scale, record_bytes)
         if predicted_mean <= 0.0:
             continue
         drift = observed_mean / predicted_mean - 1.0

@@ -13,10 +13,11 @@ Semantics follow the MQTT 3.1.1 specification:
 "which values match this topic name" in time proportional to the topic
 depth times the branching, independent of total subscription count.
 
-The validators and :func:`topic_matches` are on the publish hot path
-(every broker fan-out re-validates), so successful results are memoized
-in small bounded caches. Only *valid* strings are cached — error paths
-always re-run the full check so messages stay exact.
+:func:`validate_topic` is on the publish hot path (every broker fan-out
+re-validates), so it scans the whole string once and walks the levels
+only when a wildcard is present, to name it in the error. The module
+holds no mutable state; the broker memoizes subscription resolution
+itself.
 """
 
 from __future__ import annotations
@@ -31,44 +32,31 @@ __all__ = ["validate_topic", "validate_filter", "topic_matches", "TopicTree"]
 
 _WILDCARDS = ("+", "#")
 
-#: Bound on each memo cache; topics in a deployment are a small closed set,
-#: so in practice these never fill. Caches stop admitting (rather than
-#: evict) at the cap — correctness never depends on a hit.
-_CACHE_CAP = 4096
 
-_valid_topics: set[str] = set()
-_valid_filters: set[str] = set()
-_match_cache: dict[tuple[str, str], bool] = {}
-
-
-def _split(topic: str) -> list[str]:
+def _check_chars(topic: str) -> None:
     if not topic:
         raise TopicError("topic must be non-empty")
     if "\x00" in topic:
         raise TopicError("topic may not contain NUL")
-    return topic.split("/")
 
 
 def validate_topic(topic: str) -> str:
     """Validate a publishable topic name; returns it unchanged."""
-    if topic in _valid_topics:
-        return topic
-    for level in _split(topic):
-        for wildcard in _WILDCARDS:
-            if wildcard in level:
-                raise TopicError(
-                    f"wildcard {wildcard!r} not allowed in topic name {topic!r}"
-                )
-    if len(_valid_topics) < _CACHE_CAP:
-        _valid_topics.add(topic)
+    _check_chars(topic)
+    if "+" in topic or "#" in topic:
+        for level in topic.split("/"):
+            for wildcard in _WILDCARDS:
+                if wildcard in level:
+                    raise TopicError(
+                        f"wildcard {wildcard!r} not allowed in topic name {topic!r}"
+                    )
     return topic
 
 
 def validate_filter(topic_filter: str) -> str:
     """Validate a subscription filter; returns it unchanged."""
-    if topic_filter in _valid_filters:
-        return topic_filter
-    levels = _split(topic_filter)
+    _check_chars(topic_filter)
+    levels = topic_filter.split("/")
     for i, level in enumerate(levels):
         if level == "#":
             if i != len(levels) - 1:
@@ -79,8 +67,6 @@ def validate_filter(topic_filter: str) -> str:
             raise TopicError(
                 f"wildcard must occupy a whole level in {topic_filter!r}"
             )
-    if len(_valid_filters) < _CACHE_CAP:
-        _valid_filters.add(topic_filter)
     return topic_filter
 
 
@@ -94,16 +80,9 @@ def topic_matches(topic_filter: str, topic: str) -> bool:
     >>> topic_matches("sensor/+", "sensor/a/b")
     False
     """
-    key = (topic_filter, topic)
-    cached = _match_cache.get(key)
-    if cached is not None:
-        return cached
     validate_filter(topic_filter)
     validate_topic(topic)
-    result = _matches(topic_filter.split("/"), topic.split("/"))
-    if len(_match_cache) < _CACHE_CAP:
-        _match_cache[key] = result
-    return result
+    return _matches(topic_filter.split("/"), topic.split("/"))
 
 
 def _matches(filter_levels: list[str], topic_levels: list[str]) -> bool:

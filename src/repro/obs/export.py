@@ -81,16 +81,14 @@ def prometheus_text(registry: MetricsRegistry) -> str:
             lines.append(f"{name}{_prom_labels(labels)} {value!r}")
         else:  # histogram -> summary
             declare(name, "summary")
-            stats = instrument.stats
             for q in _QUANTILES:
-                value = instrument.quantile(q) if stats.count else 0.0
+                value = instrument.quantile(q)
                 quantile_label = f'quantile="{q / 100}"'
                 lines.append(
                     f"{name}{_prom_labels(labels, quantile_label)} {value!r}"
                 )
-            total = stats.mean * stats.count if stats.count else 0.0
-            lines.append(f"{name}_sum{_prom_labels(labels)} {total!r}")
-            lines.append(f"{name}_count{_prom_labels(labels)} {stats.count}")
+            lines.append(f"{name}_sum{_prom_labels(labels)} {instrument.total!r}")
+            lines.append(f"{name}_count{_prom_labels(labels)} {instrument.count}")
     if registry.dropped_series:
         declare("obs_meta_dropped_series_total", "counter")
         lines.append(f"obs_meta_dropped_series_total {registry.dropped_series}")
@@ -144,7 +142,6 @@ def otlp_json(
                 }
             )
         else:
-            stats = instrument.stats
             metrics.append(
                 {
                     "name": name,
@@ -152,15 +149,10 @@ def otlp_json(
                         "dataPoints": [
                             {
                                 "attributes": attributes,
-                                "count": stats.count,
-                                "sum": stats.mean * stats.count if stats.count else 0.0,
+                                "count": instrument.count,
+                                "sum": instrument.total,
                                 "quantileValues": [
-                                    {
-                                        "quantile": q / 100,
-                                        "value": instrument.quantile(q)
-                                        if stats.count
-                                        else 0.0,
-                                    }
+                                    {"quantile": q / 100, "value": instrument.quantile(q)}
                                     for q in _QUANTILES
                                 ],
                             }

@@ -1,10 +1,18 @@
-"""Metrics registry: counters, gauges and histograms over ``util.stats``.
+"""Metrics registry: counters, gauges and latency-sketch histograms.
 
 Instruments are identified by a name plus sorted ``key=value`` labels
 (``operator.latency_s{node=module-e,operator=train}``), so per-node and
 per-component series coexist in one registry. Registration is
 get-or-create and therefore idempotent — a component re-created after a
 node restart re-attaches to the same series.
+
+A histogram is a :class:`~repro.obs.sketch.LatencySketch`, the same
+fixed-memory quantile structure the SLO engine uses: count, sum, min and
+max are exact, and quantiles are bucket midpoints within 1% relative
+error of the true sample at that rank. Observations must be
+non-negative (every histogram here times a duration). Exact percentiles
+for the paper tables and BENCH records come from
+:class:`~repro.util.stats.LatencyRecorder` instead.
 
 The registry itself never touches the clock; an
 :class:`~repro.obs.state.ObsState` scrapes :meth:`MetricsRegistry.snapshot`
@@ -18,12 +26,11 @@ from __future__ import annotations
 import warnings
 from typing import Any, Callable
 
-from repro.util.stats import RunningStats, percentile
+from repro.obs.sketch import LatencySketch
 
 __all__ = [
     "Counter",
     "Gauge",
-    "HistogramMetric",
     "MetricsRegistry",
     "metric_key",
     "parse_metric_key",
@@ -132,110 +139,12 @@ class Gauge:
         return self._value
 
 
-class HistogramMetric:
-    """Streaming distribution (Welford) plus bounded quantile samples.
-
-    Welford statistics (count/mean/min/max) are exact. Quantiles come
-    from a deterministic strided sample buffer: every ``_stride``-th
-    observation is kept, and when the buffer exceeds its cap it is
-    decimated 2:1 and the stride doubled — memory stays bounded on a
-    constrained device, the retained subsequence is a pure function of
-    the observation sequence (no RNG), and for the short experiment runs
-    here the buffer never fills, so quantiles are exact in practice.
-    """
-
-    __slots__ = ("key", "stats", "_samples", "_stride", "_seen")
-
-    #: Sample buffer cap before 2:1 decimation kicks in.
-    MAX_SAMPLES = 8192
-
-    def __init__(self, key: str) -> None:
-        self.key = key
-        self.stats = RunningStats()
-        self._samples: list[float] = []
-        self._stride = 1
-        self._seen = 0
-
-    def observe(self, value: float) -> None:
-        self.stats.add(value)
-        self._seen += 1
-        if self._seen % self._stride:
-            return
-        self._samples.append(value)
-        if len(self._samples) > self.MAX_SAMPLES:
-            self._samples = self._samples[1::2]
-            self._stride *= 2
-
-    def quantile(self, q: float) -> float:
-        """The ``q``-th percentile of the (possibly decimated) samples."""
-        return percentile(self._samples, q)
-
-    def merge(self, other: "HistogramMetric") -> "HistogramMetric":
-        """Fold ``other`` into this histogram (parallel aggregation).
-
-        Welford halves merge exactly. The sample buffers are first
-        decimated to a common stride (strides are always powers of two
-        times the original 1, so the coarser one wins), concatenated
-        self-first, then re-decimated under the cap — the result is a
-        pure function of the two buffers, no RNG.
-        """
-        self.stats.merge(other.stats)
-        ours, our_stride = self._samples, self._stride
-        theirs, their_stride = list(other._samples), other._stride
-        while our_stride < their_stride:
-            ours = ours[1::2]
-            our_stride *= 2
-        while their_stride < our_stride:
-            theirs = theirs[1::2]
-            their_stride *= 2
-        merged = list(ours) + theirs
-        while len(merged) > self.MAX_SAMPLES:
-            merged = merged[1::2]
-            our_stride *= 2
-        self._samples = merged
-        self._stride = our_stride
-        self._seen += other._seen
-        return self
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready form; :meth:`from_dict` reproduces the instrument."""
-        stats = self.stats
-        return {
-            "key": self.key,
-            "count": stats.count,
-            "mean": stats.mean,
-            "m2": stats._m2,
-            "min": stats.minimum if stats.count else None,
-            "max": stats.maximum if stats.count else None,
-            "samples": list(self._samples),
-            "stride": self._stride,
-            "seen": self._seen,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "HistogramMetric":
-        histogram = cls(data["key"])
-        stats = histogram.stats
-        count = int(data["count"])
-        if count:
-            stats._count = count
-            stats._mean = float(data["mean"])
-            stats._m2 = float(data["m2"])
-            stats._min = float(data["min"])
-            stats._max = float(data["max"])
-        histogram._samples = [float(v) for v in data["samples"]]
-        histogram._stride = int(data["stride"])
-        histogram._seen = int(data["seen"])
-        return histogram
-
-
 class MetricsRegistry:
     """Get-or-create home for every instrument in one runtime.
 
     Series admission is bounded: once ``max_series`` distinct keys
-    exist, new keys stop being stored (the same admission-stop shape as
-    the wire-codec topic caches — existing series keep working, a label
-    explosion cannot grow memory without bound). Callers still get a
+    exist, new keys stop being stored (existing series keep working, a
+    label explosion cannot grow memory without bound). Callers still get a
     working instrument back, it is just unregistered; the registry
     counts every such drop and surfaces the total in
     :meth:`snapshot` so scrapes make the overflow visible, and the SLO
@@ -248,7 +157,7 @@ class MetricsRegistry:
     def __init__(self, max_series: int | None = DEFAULT_MAX_SERIES) -> None:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, HistogramMetric] = {}
+        self._histograms: dict[str, LatencySketch] = {}
         self.max_series = max_series
         self.dropped_series = 0
         self.first_dropped_key: str | None = None
@@ -294,11 +203,11 @@ class MetricsRegistry:
             instrument.fn = fn  # re-bind after a node restart
         return instrument
 
-    def histogram(self, name: str, **labels: str) -> HistogramMetric:
+    def histogram(self, name: str, **labels: str) -> LatencySketch:
         key = metric_key(name, labels)
         instrument = self._histograms.get(key)
         if instrument is None:
-            instrument = HistogramMetric(key)
+            instrument = LatencySketch()
             if self._admit(key):
                 self._histograms[key] = instrument
         return instrument
@@ -325,10 +234,10 @@ class MetricsRegistry:
     def snapshot(self) -> dict[str, Any]:
         """One flat, sorted ``series -> value`` mapping.
 
-        Counters report their count, gauges their current read (callback
-        errors surface as the value staying at the last good read — a
-        dead gauge must not kill the scraper), histograms a dict of
-        count/mean/min/max plus p50/p95/p99 quantiles.
+        Counters report their count, gauges their current read (a gauge
+        whose callback raises is left out of that scrape — a dead gauge
+        must not kill the scraper), histograms a dict of count/mean/min/max
+        plus the sketch's p50/p95/p99 quantiles.
         """
         out: dict[str, Any] = {}
         for key in sorted(self._counters):
@@ -340,15 +249,14 @@ class MetricsRegistry:
                 continue
         for key in sorted(self._histograms):
             histogram = self._histograms[key]
-            stats = histogram.stats
-            if stats.count == 0:
+            if histogram.count == 0:
                 out[key] = {"count": 0}
             else:
                 out[key] = {
-                    "count": stats.count,
-                    "mean": round(stats.mean, 9),
-                    "min": round(stats.minimum, 9),
-                    "max": round(stats.maximum, 9),
+                    "count": histogram.count,
+                    "mean": round(histogram.mean, 9),
+                    "min": round(histogram.minimum, 9),
+                    "max": round(histogram.maximum, 9),
                     "p50": round(histogram.quantile(50), 9),
                     "p95": round(histogram.quantile(95), 9),
                     "p99": round(histogram.quantile(99), 9),

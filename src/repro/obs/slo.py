@@ -55,7 +55,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.trace import TraceRecord
 
 __all__ = [
-    "ENABLED",
     "SLO_RULES",
     "SLO_ALERT_EVENT",
     "SLO_VIOLATION_EVENT",
@@ -68,10 +67,6 @@ __all__ = [
     "enable_slo",
     "format_flow_summary",
 ]
-
-#: Module-level kill switch, mirroring :data:`repro.obs.ENABLED`: when
-#: False, :func:`enable_slo` is a no-op and ``runtime.slo`` stays None.
-ENABLED: bool = True
 
 #: Trace events the engine emits (all with source ``"slo"``).
 SLO_ALERT_EVENT = "slo.alert"
@@ -529,28 +524,16 @@ class SloEngine:
         model = self._cost_model
         if profiler is None or model is None or not getattr(model, "ops", None):
             return
-        from repro.lint.rates import DEFAULT_RECORD_BYTES
+        from repro.lint.dataflow import predicted_op_mean
 
-        totals: dict[str, list[float]] = {}
-        for (node, domain, op), (seconds, count) in profiler.busy.items():
-            if domain != "cpu":
-                continue
-            entry = totals.setdefault(op, [0.0, 0])
-            entry[0] += seconds
-            entry[1] += count
-        for op in sorted(totals):
-            if op in self.drift:
-                continue
-            busy_s, count = totals[op]
-            if count < self.drift_min_count:
+        for op, (busy_s, count) in profiler.cpu_op_busy().items():
+            if op in self.drift or count < self.drift_min_count:
                 continue
             spec = model.ops.get(op)
             if spec is None:
                 continue  # RCP231 covers unmodeled ops statically
             observed = busy_s / count
-            steady = spec.cost(DEFAULT_RECORD_BYTES, invocation_index=spec.warmup_ops)
-            warmup = spec.warmup_extra_s * min(spec.warmup_ops, count) / count
-            predicted = (steady + warmup) * model.scale
+            predicted = predicted_op_mean(spec, count, model.scale)
             if predicted <= 0.0:
                 continue
             drift = observed / predicted - 1.0
@@ -773,10 +756,9 @@ def enable_slo(
     ``recipe``'s ``deadline_ms`` declarations. With ``cluster`` the
     engine publishes its status snapshots retained on
     ``ifot/ctl/status/slo`` through the management module's client.
-    Returns ``None`` when the module kill switch :data:`ENABLED` or the
-    ``REPRO_SLO`` environment flag is off.
+    Returns ``None`` when the ``REPRO_SLO`` environment flag is off.
     """
-    if not ENABLED or not flag_enabled("REPRO_SLO"):
+    if not flag_enabled("REPRO_SLO"):
         return None
     if runtime.slo is not None:
         return runtime.slo

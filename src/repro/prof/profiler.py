@@ -231,6 +231,21 @@ class Profiler:
             key: (entry[0], int(entry[1])) for key, entry in self._busy.items()
         }
 
+    def cpu_op_busy(self) -> dict[str, tuple[float, int]]:
+        """CPU busy summed across nodes: ``op -> (seconds, count)``.
+
+        Unrounded and sorted by op. The BENCH ``op_busy`` record
+        (rounded there) and the SLO engine's drift watch both read it.
+        """
+        totals: dict[str, list[float]] = {}
+        for (node, domain, op), (seconds, count) in self._busy.items():
+            if domain != "cpu":
+                continue
+            entry = totals.setdefault(op, [0.0, 0.0])
+            entry[0] += seconds
+            entry[1] += count
+        return {op: (totals[op][0], int(totals[op][1])) for op in sorted(totals)}
+
     @property
     def event_counts(self) -> dict[str, int]:
         return dict(self._event_counts)

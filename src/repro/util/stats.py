@@ -17,8 +17,10 @@ def percentile(samples: list[float], q: float) -> float:
     """The ``q``-th percentile of ``samples`` (0 <= q <= 100, linear interp).
 
     Accepts the samples in any order (they are sorted here); returns NaN
-    for an empty list. Shared by :class:`LatencyRecorder` and the metrics
-    layer's histogram quantiles.
+    for an empty list. This is the exact rule behind
+    :class:`LatencyRecorder` and so the paper tables and BENCH records;
+    metrics histograms report sketch quantiles instead
+    (:class:`repro.obs.sketch.LatencySketch`).
     """
     if not samples:
         return math.nan
@@ -67,25 +69,6 @@ class RunningStats:
             self._min = value
         if value > self._max:
             self._max = value
-
-    def merge(self, other: "RunningStats") -> None:
-        """Fold another ``RunningStats`` into this one (parallel Welford)."""
-        if other._count == 0:
-            return
-        if self._count == 0:
-            self._count = other._count
-            self._mean = other._mean
-            self._m2 = other._m2
-            self._min = other._min
-            self._max = other._max
-            return
-        total = self._count + other._count
-        delta = other._mean - self._mean
-        self._m2 += other._m2 + delta * delta * self._count * other._count / total
-        self._mean += delta * other._count / total
-        self._count = total
-        self._min = min(self._min, other._min)
-        self._max = max(self._max, other._max)
 
     @property
     def count(self) -> int:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from repro.errors import TopicError
@@ -5,32 +7,44 @@ from repro.mqtt.topics import TopicTree, topic_matches, validate_filter, validat
 
 
 class TestValidation:
-    def test_valid_topics(self):
+    def test_valid_topic_names(self):
         for topic in ("a", "a/b/c", "a//b", "sensor/room 1/temp"):
             assert validate_topic(topic) == topic
 
     def test_topic_rejects_wildcards(self):
-        for bad in ("a/+/b", "#", "a/#", "a+b"):
-            with pytest.raises(TopicError):
+        for bad, wildcard in (
+            ("a/+/b", "+"),
+            ("#", "#"),
+            ("a/#", "#"),
+            ("a+b", "+"),
+            ("a#/+", "#"),
+            ("a+#", "+"),
+        ):
+            message = f"wildcard {wildcard!r} not allowed in topic name {bad!r}"
+            with pytest.raises(TopicError, match=f"^{re.escape(message)}$"):
                 validate_topic(bad)
 
     def test_topic_rejects_empty_and_nul(self):
-        with pytest.raises(TopicError):
+        with pytest.raises(TopicError, match="^topic must be non-empty$"):
             validate_topic("")
-        with pytest.raises(TopicError):
+        with pytest.raises(TopicError, match="^topic may not contain NUL$"):
             validate_topic("a\x00b")
+        with pytest.raises(TopicError, match="^topic may not contain NUL$"):
+            validate_topic("a/+\x00")
 
-    def test_valid_filters(self):
+    def test_valid_filter_strings(self):
         for f in ("a", "+", "#", "a/+/c", "a/#", "+/+/#"):
             assert validate_filter(f) == f
 
     def test_filter_hash_must_be_last(self):
-        with pytest.raises(TopicError):
+        message = "'#' must be the last level in 'a/#/b'"
+        with pytest.raises(TopicError, match=f"^{re.escape(message)}$"):
             validate_filter("a/#/b")
 
     def test_filter_wildcard_must_be_whole_level(self):
         for bad in ("a+", "a/b+", "a#", "x/#y"):
-            with pytest.raises(TopicError):
+            message = f"wildcard must occupy a whole level in {bad!r}"
+            with pytest.raises(TopicError, match=f"^{re.escape(message)}$"):
                 validate_filter(bad)
 
 

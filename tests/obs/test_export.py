@@ -23,7 +23,7 @@ def _sample_registry() -> MetricsRegistry:
     registry.gauge("queue.depth", node="n1").set(7)
     hist = registry.histogram("op.latency_s", op="train")
     for v in (0.010, 0.020, 0.030):
-        hist.observe(v)
+        hist.add(v)
     return registry
 
 
@@ -40,7 +40,9 @@ def test_prometheus_text_format():
     assert 'queue_depth{node="n1"} 7.0' in text
     # Histograms export as summaries: quantiles + _sum/_count.
     assert "# TYPE op_latency_s summary" in text
-    assert 'op_latency_s{op="train",quantile="0.5"} 0.02' in text
+    median = 'op_latency_s{op="train",quantile="0.5"} '
+    (line,) = [line for line in text.splitlines() if line.startswith(median)]
+    assert float(line[len(median):]) == pytest.approx(0.02, rel=0.01)
     assert 'op_latency_s_count{op="train"} 3' in text
     assert text.endswith("\n")
 

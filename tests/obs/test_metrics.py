@@ -10,7 +10,7 @@ from repro.obs import (
     metric_key,
     parse_metric_key,
 )
-from repro.obs.metrics import HistogramMetric
+from repro.obs.export import otlp_json, prometheus_text
 from repro.obs.state import METRICS_EVENT
 from repro.runtime.sim import SimRuntime
 
@@ -89,45 +89,47 @@ def test_histogram_welford():
     registry = MetricsRegistry()
     hist = registry.histogram("lat", node="n1")
     for v in (1.0, 2.0, 3.0):
-        hist.observe(v)
-    snap = registry.snapshot()
-    assert snap["lat{node=n1}"] == {
+        hist.add(v)
+    snap = registry.snapshot()["lat{node=n1}"]
+    assert {k: snap[k] for k in ("count", "mean", "min", "max")} == {
         "count": 3,
         "mean": 2.0,
         "min": 1.0,
         "max": 3.0,
-        "p50": 2.0,
-        "p95": 2.9,
-        "p99": 2.98,
     }
+    # Nearest-rank sketch quantiles: rank int(q * 2 / 100) is the middle
+    # sample for p50, p95 and p99 alike, reported as its bucket midpoint.
+    for q in ("p50", "p95", "p99"):
+        assert snap[q] == pytest.approx(2.0, rel=0.01)
 
 
-def test_histogram_quantiles_exact_until_decimation():
-    hist = HistogramMetric("h")
-    for value in range(1, 101):
-        hist.observe(float(value))
-    assert hist.quantile(50) == pytest.approx(50.5)
-    assert hist.quantile(95) == pytest.approx(95.05)
-    assert hist.quantile(0) == 1.0
-    assert hist.quantile(100) == 100.0
-
-
-def test_histogram_decimation_is_deterministic_and_bounded():
-    def fill(n):
-        hist = HistogramMetric("h")
-        for value in range(n):
-            hist.observe(float(value))
-        return hist
-
-    n = HistogramMetric.MAX_SAMPLES * 3
-    first, second = fill(n), fill(n)
-    assert first._samples == second._samples  # pure function of the sequence
-    assert len(first._samples) <= HistogramMetric.MAX_SAMPLES
-    assert first._stride > 1
-    # Welford stays exact regardless of decimation.
-    assert first.stats.count == n
-    # Quantiles remain close on the decimated reservoir.
-    assert first.quantile(50) == pytest.approx(n / 2, rel=0.01)
+def test_histogram_quantiles_agree_across_snapshot_and_exports():
+    registry = MetricsRegistry()
+    hist = registry.histogram("op.latency_s", op="train")
+    values = [(i * 7919 % 10_000 + 1) * 1e-4 for i in range(10_000)]
+    assert len(set(values)) == len(values)
+    for v in values:
+        hist.add(v)
+    ordered = sorted(values)
+    snap = registry.snapshot()["op.latency_s{op=train}"]
+    prom = {}
+    for line in prometheus_text(registry).splitlines():
+        if line.startswith("op_latency_s"):
+            series, value = line.rsplit(" ", 1)
+            prom[series] = float(value)
+    (point,) = otlp_json(registry)["resourceMetrics"][0]["scopeMetrics"][0][
+        "metrics"
+    ][0]["summary"]["dataPoints"]
+    otlp = {entry["quantile"]: entry["value"] for entry in point["quantileValues"]}
+    for q in (50, 95, 99):
+        exported = prom[f'op_latency_s{{op="train",quantile="{q / 100}"}}']
+        assert exported == otlp[q / 100]
+        assert snap[f"p{q}"] == round(exported, 9)
+        true = ordered[int(q * (len(values) - 1) / 100)]
+        assert abs(exported - true) <= 0.01 * true
+    assert prom['op_latency_s_sum{op="train"}'] == sum(values)
+    assert point["sum"] == sum(values)
+    assert prom['op_latency_s_count{op="train"}'] == point["count"] == len(values)
 
 
 def test_snapshot_is_flat_and_sorted():
@@ -223,19 +225,6 @@ def test_unbounded_registry_when_cap_is_none():
     for i in range(MetricsRegistry.DEFAULT_MAX_SERIES + 5):
         registry.counter("m", i=str(i))
     assert registry.dropped_series == 0
-
-
-def test_histogram_merge_after_decimation_bounds_buffer():
-    left, right = HistogramMetric("h"), HistogramMetric("h")
-    n = HistogramMetric.MAX_SAMPLES + 10
-    for i in range(n):
-        left.observe(float(i))
-    for i in range(100):
-        right.observe(float(i))
-    left.merge(right)
-    assert len(left._samples) <= HistogramMetric.MAX_SAMPLES
-    assert left.stats.count == n + 100
-    assert left._stride > 1
 
 
 def test_node_gauges_registered_for_nodes():

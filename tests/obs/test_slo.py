@@ -18,7 +18,6 @@ from repro.chaos import run_scenario
 from repro.chaos.scenarios import build_chaos_recipe
 from repro.core.dsl import parse_recipe
 from repro.errors import ConfigurationError
-from repro.obs import slo as slo_module
 from repro.obs.context import SPAN_EVENT
 from repro.obs.slo import (
     SLO_ALERT_EVENT,
@@ -250,12 +249,6 @@ def test_enable_slo_respects_env_flag(monkeypatch):
     assert runtime.slo is None
 
 
-def test_enable_slo_respects_module_kill_switch(monkeypatch):
-    monkeypatch.setattr(slo_module, "ENABLED", False)
-    runtime = SimRuntime(seed=0)
-    assert enable_slo(runtime, recipe=build_chaos_recipe()) is None
-
-
 def test_enable_slo_is_idempotent():
     runtime = SimRuntime(seed=0)
     first = enable_slo(runtime, recipe=build_chaos_recipe())
@@ -366,6 +359,38 @@ def test_injected_tight_deadline_flips_clean_run_to_violation():
     assert tight.violations["alert-messaging"] > 0
     assert tight.violations["alert-messaging"] == clean.good["alert-messaging"]
     assert {d.rule for d in tight.diagnostics()} & {"SLO300", "SLO301", "SLO302"}
+
+
+@pytest.mark.slow
+def test_drift_watch_flags_a_miscalibrated_model():
+    """SLO310: against a model that predicts half the Pi costs the fig5
+    run is charged, the online drift watch flags the ops, and each
+    finding's prediction is the one the static RCP230 gate computes."""
+    from repro.bench.calibration import pi_cost_model
+    from repro.bench.scenarios import run_fig5_experiment
+    from repro.lint.dataflow import predicted_op_mean
+    from repro.prof import enable_profiling
+
+    model = pi_cost_model().scaled(0.5)
+
+    def prepare(runtime):
+        enable_profiling(runtime)
+        enable_slo(
+            runtime,
+            flows=[FlowSlo(flow="alert-messaging", deadline_s=16.0, pending=False)],
+            cost_model=model,
+        )
+
+    runtime = run_fig5_experiment(
+        seed=55, duration_s=5.0, prepare=prepare, cost_model=pi_cost_model()
+    )
+    drift = runtime.slo.drift
+    assert drift
+    for op, finding in drift.items():
+        predicted = predicted_op_mean(model.ops[op], finding["count"], model.scale)
+        assert finding["predicted_s"] == round(predicted, 9)
+        assert finding["drift"] > 0.25
+    assert "SLO310" in {d.rule for d in runtime.slo.diagnostics()}
 
 
 @pytest.mark.slow

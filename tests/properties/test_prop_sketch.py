@@ -1,6 +1,7 @@
-"""Property tests for the SLO quantile sketches and histogram merge.
+"""Property tests for the quantile sketch behind SLOs and metrics histograms.
 
-Hypothesis pins the two guarantees the online SLO engine leans on:
+Hypothesis pins the two guarantees the online SLO engine and the metrics
+registry lean on:
 
 * **rank-error bound** — for any observation list, every reported
   quantile is within relative error ``alpha`` of the true sample at
@@ -8,8 +9,7 @@ Hypothesis pins the two guarantees the online SLO engine leans on:
 * **mergeability** — splitting a sample set arbitrarily, sketching the
   halves and merging gives *exactly* the sketch of the whole (bucket
   counts are integers, so below the collapse cap nothing is lost), and
-  serialization round-trips exactly. The same exactness holds for
-  :meth:`HistogramMetric.merge` on its Welford statistics.
+  serialization round-trips exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.metrics import HistogramMetric
 from repro.obs.sketch import LatencySketch
 
 latencies = st.lists(
@@ -80,58 +79,3 @@ def test_serialization_round_trip_property(values):
     assert clone.zero_count == sketch.zero_count
     for q in (0, 50, 95, 99, 100):
         assert clone.quantile(q) == sketch.quantile(q)
-
-
-samples = st.lists(
-    st.floats(
-        min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
-    ),
-    min_size=0,
-    max_size=120,
-)
-
-
-@given(a=samples, b=samples)
-@settings(max_examples=150)
-def test_histogram_merge_welford_exactness(a, b):
-    left, right, whole = (
-        HistogramMetric("h"),
-        HistogramMetric("h"),
-        HistogramMetric("h"),
-    )
-    for v in a:
-        left.observe(v)
-        whole.observe(v)
-    for v in b:
-        right.observe(v)
-        whole.observe(v)
-    left.merge(right)
-    assert left.stats.count == whole.stats.count
-    if whole.stats.count:
-        assert math.isclose(
-            left.stats.mean, whole.stats.mean, rel_tol=1e-9, abs_tol=1e-9
-        )
-        assert left.stats.minimum == whole.stats.minimum
-        assert left.stats.maximum == whole.stats.maximum
-    # Below the buffer cap both strides stay 1: samples concatenate exactly.
-    assert left._samples == a + b
-    assert left._seen == whole._seen
-
-
-@given(a=samples)
-@settings(max_examples=100)
-def test_histogram_serialization_round_trip(a):
-    histogram = HistogramMetric("lat")
-    for v in a:
-        histogram.observe(v)
-    clone = HistogramMetric.from_dict(histogram.to_dict())
-    assert clone.key == histogram.key
-    assert clone.stats.count == histogram.stats.count
-    assert clone._samples == histogram._samples
-    assert clone._stride == histogram._stride
-    assert clone._seen == histogram._seen
-    if a:
-        assert clone.stats.mean == histogram.stats.mean
-        assert clone.stats.minimum == histogram.stats.minimum
-        assert clone.stats.maximum == histogram.stats.maximum
-        assert clone.quantile(95) == histogram.quantile(95)

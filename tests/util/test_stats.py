@@ -31,33 +31,6 @@ class TestRunningStats:
         assert s.variance == 0.0
         assert s.minimum == s.maximum == 3.5
 
-    def test_merge_matches_sequential(self):
-        values = [float(i * i % 17) for i in range(50)]
-        whole = RunningStats()
-        for v in values:
-            whole.add(v)
-        left, right = RunningStats(), RunningStats()
-        for v in values[:20]:
-            left.add(v)
-        for v in values[20:]:
-            right.add(v)
-        left.merge(right)
-        assert left.count == whole.count
-        assert left.mean == pytest.approx(whole.mean)
-        assert left.variance == pytest.approx(whole.variance)
-        assert left.minimum == whole.minimum
-        assert left.maximum == whole.maximum
-
-    def test_merge_empty_cases(self):
-        s = RunningStats()
-        s.add(1.0)
-        empty = RunningStats()
-        s.merge(empty)
-        assert s.count == 1
-        empty2 = RunningStats()
-        empty2.merge(s)
-        assert empty2.mean == 1.0
-
 
 class TestLatencyRecorder:
     def test_summary_columns(self):
